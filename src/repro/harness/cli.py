@@ -340,6 +340,8 @@ def main(argv: list[str] | None = None) -> int:
 
     config = FAST_CONFIG if args.fast else DEFAULT_CONFIG
     if args.steps is not None:
+        if args.steps < 4:
+            parser.error(f"--steps must be >= 4, got {args.steps}")
         config = config.scaled(standard_steps=args.steps)
     if args.workers is not None:
         if args.workers < 1:
@@ -359,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.sync_mode == "ssp" and args.staleness is None:
         parser.error("--sync-mode ssp requires --staleness")
+    if args.staleness is not None and args.staleness < 0:
+        parser.error(f"--staleness must be >= 0, got {args.staleness}")
     if args.backup_workers is not None:
         # The engine would reject these too, but only after the sweep
         # starts training; fail at parse time with the value spelled out.

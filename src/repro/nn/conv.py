@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, conv_output_size, im2col, im2col_indices
+from repro.nn.functional import col2im, conv_output_size, im2col
 from repro.nn.initializers import he_normal, zeros
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -67,23 +67,13 @@ class Conv2d(Module):
             if bias
             else None
         )
-        self._indices_cache: dict[tuple[int, int], tuple] = {}
         self._cache: tuple | None = None
-
-    def _indices(self, h: int, w: int) -> tuple:
-        key = (h, w)
-        if key not in self._indices_cache:
-            self._indices_cache[key] = im2col_indices(
-                self.in_channels, h, w, self.kernel, self.stride, self.pad
-            )
-        return self._indices_cache[key]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        indices = self._indices(h, w)
-        cols = im2col(x, self.kernel, self.stride, self.pad, indices)
+        cols = im2col(x, self.kernel, self.stride, self.pad)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         out = w_mat @ cols  # (F, out_h*out_w*N)
         out_h = conv_output_size(h, self.kernel, self.stride, self.pad)
@@ -93,13 +83,13 @@ class Conv2d(Module):
         if self.bias is not None:
             out = out + self.bias.data.reshape(1, -1, 1, 1)
         if training:
-            self._cache = (x.shape, cols, indices, (out_h, out_w))
+            self._cache = (x.shape, cols, (out_h, out_w))
         return out.astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward before forward(training=True)")
-        x_shape, cols, indices, (out_h, out_w) = self._cache
+        x_shape, cols, (out_h, out_w) = self._cache
         self._cache = None
         n = x_shape[0]
         # (N, F, OH, OW) -> (F, OH*OW, N) -> (F, OH*OW*N), matching im2col
@@ -117,5 +107,5 @@ class Conv2d(Module):
             self.bias.accumulate_grad(grad_mat.sum(axis=1))
         grad_cols = w_mat.T @ grad_mat
         return col2im(
-            grad_cols, x_shape, self.kernel, self.stride, self.pad, indices
+            grad_cols, x_shape, self.kernel, self.stride, self.pad
         ).astype(np.float32, copy=False)

@@ -412,6 +412,28 @@ class TestHierarchicalHarness:
                 main(argv)
             assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["fig9", "--fast", "--steps", "3"], "--steps must be >= 4, got 3"),
+            (
+                ["fig9", "--fast", "--sync-mode", "ssp", "--staleness", "-1"],
+                "--staleness must be >= 0, got -1",
+            ),
+        ],
+    )
+    def test_cli_rejects_out_of_range_values_as_usage_errors(
+        self, capsys, argv, fragment
+    ):
+        # The config and engine constructors reject these too, but with a
+        # ValueError traceback; the CLI must fail as a usage error.
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert fragment in capsys.readouterr().err
+
     def test_cli_hier_drops_deferring_schemes(self, capsys):
         from repro.harness.cli import main
 
