@@ -144,9 +144,9 @@ class ThreeLCCodec:
         packed, byte_offsets = quartic_encode_batch(values, lengths)
         # One fused reconstruction pass: each element times its segment's
         # scale, cast exactly as the scalar dequantize does.
-        recon = values.astype(self.dtype, copy=False) * np.repeat(
-            scales, lengths
-        ).astype(self.dtype, copy=False)
+        recon = np.multiply(
+            values, np.repeat(scales.astype(self.dtype), lengths), dtype=self.dtype
+        )
         starts = np.concatenate(([0], np.cumsum(lengths)))
         results = []
         for i, arr in enumerate(arrs):
@@ -228,8 +228,9 @@ class CompressionContext:
             raise ValueError(f"context shape {self.shape}, tensor {arr.shape}")
         if self.buffer is None:
             return self.codec.compress(arr)
-        corrected = self.buffer.add(arr)
-        result = self.codec.compress(corrected)
+        # The codec only reads its input, so it takes the accumulated
+        # residual itself rather than a copy.
+        result = self.codec.compress(self.buffer.accumulate(arr))
         self.buffer.subtract(result.reconstruction)
         return result
 
@@ -275,7 +276,7 @@ def compress_context_batch(items) -> list[CompressionResult]:
         if arr.shape != ctx.shape:
             raise ValueError(f"context shape {ctx.shape}, tensor {arr.shape}")
         if ctx.buffer is not None:
-            arr = ctx.buffer.add(arr)
+            arr = ctx.buffer.accumulate(arr)
         corrected.append(arr)
         entry = by_codec.get(id(ctx.codec))
         if entry is None:

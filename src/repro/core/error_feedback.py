@@ -68,13 +68,22 @@ class ErrorAccumulationBuffer:
         buffer. The buffer temporarily holds the sum until
         :meth:`subtract` records what was transmitted.
         """
+        return self.accumulate(tensor).copy()
+
+    def accumulate(self, tensor: np.ndarray) -> np.ndarray:
+        """Step (1) without the copy: return a read-only view of the sum.
+
+        For lossy stages that only read their input. The view aliases the
+        buffer, so it is valid only until :meth:`subtract`; a caller that
+        keeps or returns the corrected tensor must use :meth:`add`.
+        """
         tensor = np.asarray(tensor)
         if tensor.shape != self._residual.shape:
             raise ValueError(
                 f"shape mismatch: buffer {self._residual.shape}, input {tensor.shape}"
             )
         self._residual += tensor
-        return self._residual.copy()
+        return self.residual
 
     def subtract(self, reconstructed: np.ndarray) -> None:
         """Step (b): subtract the receiver-visible reconstruction.

@@ -26,6 +26,7 @@ quantized tensor an unbiased estimator of the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,23 +112,31 @@ def quantize_3value(tensor: np.ndarray, s: float = 1.0) -> QuantizedTensor:
     arr = np.asarray(tensor)
     if arr.size == 0:
         return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
-    if not np.all(np.isfinite(arr)):
+    # max|T| is the larger of max(T) and -min(T); NaN and +-inf propagate
+    # through both reductions, so one finiteness test on the result
+    # replaces a full isfinite pass.
+    max_mag = float(max(arr.max(), -arr.min()))
+    if not math.isfinite(max_mag):
         raise ValueError("cannot quantize non-finite tensor")
-    max_mag = float(np.max(np.abs(arr)))
     scale = max_mag * s
     if scale == 0.0:
         return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
-    values = np.rint(arr / scale).astype(np.int8)
-    return QuantizedTensor(values, scale)
+    # Flattened so that a 0-d input still divides into an array that
+    # ``rint`` can round in place.
+    ratio = arr.reshape(-1) / scale
+    np.rint(ratio, out=ratio)
+    return QuantizedTensor(ratio.astype(np.int8).reshape(arr.shape), scale)
 
 
 def dequantize_3value(
     quantized: QuantizedTensor, dtype: np.dtype | type = np.float32
 ) -> np.ndarray:
-    """Reconstruct the tensor as ``M * Q`` (Equation 3)."""
-    return (quantized.scale * quantized.values.astype(dtype, copy=False)).astype(
-        dtype, copy=False
-    )
+    """Reconstruct the tensor as ``M * Q`` (Equation 3).
+
+    One ufunc pass: the ternary values are cast to ``dtype`` inside the
+    multiply loop rather than into a full-size temporary.
+    """
+    return np.multiply(quantized.values, quantized.scale, dtype=dtype)
 
 
 def quantize_3value_batch(
@@ -139,10 +148,10 @@ def quantize_3value_batch(
     ``lengths`` gives each segment's element count. Each segment gets its
     own scale ``M_i = max(|segment_i|) * s``, exactly as if
     :func:`quantize_3value` had been called per segment — the per-element
-    arithmetic is bit-identical: the segment maxima come from one
-    ``maximum.reduceat``, and each element divides by its segment's scale
-    cast to ``flat``'s dtype, the same cast NumPy applies to the scalar
-    divisor in the per-tensor path.
+    arithmetic is bit-identical: the segment magnitudes come from one
+    ``maximum.reduceat`` and one ``minimum.reduceat``, and each element
+    divides by its segment's scale cast to ``flat``'s dtype, the same cast
+    NumPy applies to the scalar divisor in the per-tensor path.
 
     Returns
     -------
@@ -159,23 +168,28 @@ def quantize_3value_batch(
         raise ValueError(
             f"segment lengths sum to {total}, flat array has {flat.size}"
         )
-    if flat.size and not np.all(np.isfinite(flat)):
-        raise ValueError("cannot quantize non-finite tensor")
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     mags = np.zeros(lengths.shape[0], dtype=np.float64)
     nonempty = lengths > 0
     if flat.size:
         # Zero-length segments occupy no indices, so consecutive nonempty
-        # starts bound exactly one segment each.
-        mags[nonempty] = np.maximum.reduceat(np.abs(flat), starts[nonempty])
+        # starts bound exactly one segment each. Taking |.| of the small
+        # per-segment extremes (not of ``flat``) keeps the max magnitude a
+        # +0.0 for all-zero segments; NaN and +-inf propagate into it.
+        seg_starts = starts[nonempty]
+        mags[nonempty] = np.maximum(
+            np.abs(np.maximum.reduceat(flat, seg_starts)),
+            np.abs(np.minimum.reduceat(flat, seg_starts)),
+        )
+        if not np.all(np.isfinite(mags)):
+            raise ValueError("cannot quantize non-finite tensor")
     scales = mags * s
     # A zero scale means the whole segment is zero, so dividing it by the
     # placeholder 1.0 still rounds to all-zero values — no masking needed.
-    divisor = np.where(scales > 0.0, scales, 1.0)[
-        np.repeat(np.arange(lengths.shape[0]), lengths)
-    ].astype(flat.dtype, copy=False)
-    values = np.rint(flat / divisor).astype(np.int8)
-    return values, scales
+    divisors = np.where(scales > 0.0, scales, 1.0).astype(flat.dtype, copy=False)
+    ratio = flat / np.repeat(divisors, lengths)
+    np.rint(ratio, out=ratio)
+    return ratio.astype(np.int8), scales
 
 
 def quantize_stochastic_ternary(

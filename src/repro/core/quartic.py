@@ -44,13 +44,50 @@ ZERO_GROUP_BYTE = 121
 #: Largest byte value quartic encoding can produce (= 3**5 - 1).
 MAX_QUARTIC_BYTE = 242
 
-# Powers of 3 for the five digit positions, most-significant first.
-_POWERS = np.array([81, 27, 9, 3, 1], dtype=np.uint8)
+_RANGE_ERROR = "quartic encoding requires values in {-1, 0, 1}"
+
+# Decode table: row ``b`` holds the five base-3 digits of byte ``b``, most
+# significant first, shifted back to ``{-1, 0, 1}`` — 243 × 5 int8.
+_DIGIT_TABLE = (
+    np.arange(MAX_QUARTIC_BYTE + 1)[:, None] // np.array([81, 27, 9, 3, 1]) % 3
+    - 1
+).astype(np.int8)
 
 
 def padded_length(n: int) -> int:
     """Number of values after padding ``n`` up to a multiple of 5."""
     return -(-n // GROUP_SIZE) * GROUP_SIZE
+
+
+def _as_int8(values: np.ndarray) -> np.ndarray:
+    """Flatten ternary values to ``int8``, range-checking wider dtypes.
+
+    An ``int8`` entry ``v`` becomes the digit ``(v + 1) mod 256``, which is
+    at most 2 exactly when ``v`` is in ``{-1, 0, 1}``, so :func:`_pack`'s
+    digit check covers it; wider dtypes could wrap into range on the cast.
+    """
+    flat = np.asarray(values).reshape(-1)
+    if flat.dtype != np.int8 and flat.size and (flat.min() < -1 or flat.max() > 1):
+        raise ValueError(_RANGE_ERROR)
+    return flat.astype(np.int8, copy=False)
+
+
+def _pack(digits: np.ndarray) -> np.ndarray:
+    """Range-check a padded digit buffer and evaluate the quartic form.
+
+    Horner's rule over the five strided digit columns,
+    ``(((a·3 + b)·3 + c)·3 + d)·3 + e``, stays in ``uint8``: every
+    intermediate is at most the final value, which is at most 242.
+    """
+    if digits.size and digits.max() > 2:
+        raise ValueError(_RANGE_ERROR)
+    groups = digits.reshape(-1, GROUP_SIZE)
+    packed = groups[:, 0] * 3
+    for col in range(1, GROUP_SIZE - 1):
+        packed += groups[:, col]
+        packed *= 3
+    packed += groups[:, GROUP_SIZE - 1]
+    return packed
 
 
 def quartic_encode(values: np.ndarray) -> np.ndarray:
@@ -75,23 +112,14 @@ def quartic_encode(values: np.ndarray) -> np.ndarray:
     ValueError
         If any entry lies outside ``{-1, 0, 1}``.
     """
-    arr = np.asarray(values)
-    flat = arr.reshape(-1)
-    if flat.size and (flat.min() < -1 or flat.max() > 1):
-        raise ValueError("quartic encoding requires values in {-1, 0, 1}")
-    # Steps 1-4 of the paper: +1, cast to uint8, flatten, pad to multiple of 5.
-    digits = (flat.astype(np.int16) + 1).astype(np.uint8)
-    pad = padded_length(flat.size) - flat.size
-    if pad:
-        # Padding with 1 (the digit for quantized zero) keeps padded groups
-        # eligible for zero-run encoding.
-        digits = np.concatenate([digits, np.ones(pad, dtype=np.uint8)])
-    # Step 5-6: partition into 5 columns and evaluate the quartic form.
-    groups = digits.reshape(-1, GROUP_SIZE)
-    # uint8 arithmetic would overflow (max 2*81=162 fits, but the sum 242
-    # also fits); still, accumulate in uint16 for clarity and safety.
-    packed = (groups.astype(np.uint16) * _POWERS.astype(np.uint16)).sum(axis=1)
-    return packed.astype(np.uint8)
+    flat = _as_int8(values)
+    # Steps 1-4 of the paper: +1 as uint8, into a buffer padded to a
+    # multiple of 5 with 1 (the digit for quantized zero), which keeps
+    # padded groups eligible for zero-run encoding.
+    digits = np.ones(padded_length(flat.size), dtype=np.uint8)
+    np.add(flat.view(np.uint8), 1, out=digits[: flat.size])
+    # Steps 5-6: partition into 5 columns and evaluate the quartic form.
+    return _pack(digits)
 
 
 def quartic_encode_batch(
@@ -121,21 +149,19 @@ def quartic_encode_batch(
         raise ValueError(
             f"segment lengths sum to {total}, values array has {flat.size}"
         )
-    if flat.size and (flat.min() < -1 or flat.max() > 1):
-        raise ValueError("quartic encoding requires values in {-1, 0, 1}")
+    src = _as_int8(flat).view(np.uint8)
     padded = -(-lengths // GROUP_SIZE) * GROUP_SIZE
-    padded_total = int(padded.sum())
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    padded_starts = np.concatenate(([0], np.cumsum(padded)[:-1]))
-    # Scatter each segment's digits into a ones-filled (= digit of a
-    # quantized zero, keeping padded groups ZRE-eligible) padded buffer.
-    digits = np.ones(padded_total, dtype=np.uint8)
-    dest = np.arange(total) + np.repeat(padded_starts - starts, lengths)
-    digits[dest] = (flat.astype(np.int16) + 1).astype(np.uint8)
-    groups = digits.reshape(-1, GROUP_SIZE)
-    packed = (groups.astype(np.uint16) * _POWERS.astype(np.uint16)).sum(axis=1)
+    # Each segment's digits land at its padded offset in a ones-filled
+    # (= digit of a quantized zero, keeping padded groups ZRE-eligible)
+    # buffer.
+    digits = np.ones(int(padded.sum()), dtype=np.uint8)
+    start = dest = 0
+    for length, width in zip(lengths.tolist(), padded.tolist()):
+        np.add(src[start : start + length], 1, out=digits[dest : dest + length])
+        start += length
+        dest += width
     byte_offsets = np.concatenate(([0], np.cumsum(padded // GROUP_SIZE)))
-    return packed.astype(np.uint8), byte_offsets
+    return _pack(digits), byte_offsets
 
 
 def quartic_decode(
@@ -166,10 +192,8 @@ def quartic_decode(
         )
     if arr.size and arr.max() > MAX_QUARTIC_BYTE:
         raise ValueError("byte outside quartic range [0, 242]")
-    # Base-3 digit extraction: divide by powers of 3, take remainder mod 3.
-    a = arr.astype(np.uint16)
-    digits = (a[:, None] // _POWERS.astype(np.uint16)) % 3
-    flat = digits.reshape(-1)[:count].astype(np.int8) - 1
+    # Base-3 digit extraction: one table row of five values per byte.
+    flat = np.take(_DIGIT_TABLE, arr, axis=0).reshape(-1)[:count]
     if shape is not None:
         expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if expected != count:
@@ -183,7 +207,7 @@ def quartic_encode_reference(values: np.ndarray) -> np.ndarray:
     flat = [int(v) + 1 for v in np.asarray(values).reshape(-1)]
     for v in flat:
         if v not in (0, 1, 2):
-            raise ValueError("quartic encoding requires values in {-1, 0, 1}")
+            raise ValueError(_RANGE_ERROR)
     while len(flat) % GROUP_SIZE:
         flat.append(1)
     out = []

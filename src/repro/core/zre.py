@@ -8,9 +8,10 @@ chunks of 14. A lone ``121`` is left literal.
 
 Combined with 3-value quantization and quartic encoding this yields the
 paper's headline hypothetical: an all-zero float32 tensor compresses by
-``280×`` (32 bits → 32/280 bits per value: five values per byte, fourteen
-bytes per escape byte → 32·5·14/16... see ``tests/core/test_zre.py`` for the
-exact accounting).
+``280×``. One quartic byte holds five values and one escape byte stands for
+fourteen zero-group bytes, so each wire byte carries ``5 · 14 = 70`` values:
+``8/70`` bits per value, ``32 / (8/70) = 280×`` fewer than float32 (see
+``tests/core/test_zre.py``).
 
 ZRE is byte-level only — no bit operations, no lookup tables — matching the
 paper's low-overhead goal. The vectorized implementation decomposes the

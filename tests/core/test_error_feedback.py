@@ -22,6 +22,15 @@ class TestBufferBasics:
         out[0] = 99.0  # mutating the copy must not affect the buffer
         np.testing.assert_array_equal(buf.residual, [1.0, 2.0])
 
+    def test_accumulate_returns_read_only_view_of_sum(self):
+        buf = ErrorAccumulationBuffer((2,))
+        out = buf.accumulate(np.array([1.0, 2.0], dtype=np.float32))
+        np.testing.assert_array_equal(out, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            out[0] = 99.0
+        buf.subtract(np.array([1.0, 1.0], dtype=np.float32))
+        np.testing.assert_array_equal(out, [0.0, 1.0])  # aliases the buffer
+
     def test_subtract_records_residual(self):
         buf = ErrorAccumulationBuffer((2,))
         buf.add(np.array([1.0, 2.0], dtype=np.float32))

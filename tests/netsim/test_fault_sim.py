@@ -17,6 +17,7 @@ what a churned run records and how downstream layers consume it:
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,16 +163,30 @@ class TestOutageReplay:
             == engine.traffic.steps[4].resync_bytes
         )
 
+        # Pin the measured compute and codec seconds to one cost for every
+        # step, so the step times below differ only by what the wire
+        # carries, not by host timing jitter.
+        transmissions = [
+            replace(
+                st,
+                compute_seconds=0.01,
+                push_compress_seconds=1e-3,
+                server_decompress_seconds=1e-3,
+                server_compress_seconds=1e-3,
+                pull_decompress_seconds=1e-3,
+            )
+            for st in engine.transmissions
+        ]
         timeline = _timeline()
         lm = link_model_for(topology, link("100Mbps"), num_workers=4)
         scalar = NetworkSimulator(
             timeline, lm, TIME_MODEL,
             overlap=False, serialized_baseline=False, vectorized=False,
-        ).simulate_run(engine.transmissions)
+        ).simulate_run(transmissions)
         vector = NetworkSimulator(
             timeline, lm, TIME_MODEL,
             overlap=False, serialized_baseline=False, vectorized=True,
-        ).simulate_run(engine.transmissions)
+        ).simulate_run(transmissions)
         for a, b in zip(scalar.steps, vector.steps):
             assert abs(a.step_seconds - b.step_seconds) <= CORE_PARITY
         # The resync makes the rejoin step strictly slower than its twin
@@ -180,7 +195,7 @@ class TestOutageReplay:
 
         event = EventDrivenSimulator(
             timeline, lm, TIME_MODEL, staleness=0, overlap=False
-        ).simulate(updates_from_bsp_steps(engine.transmissions, 4))
+        ).simulate(updates_from_bsp_steps(transmissions, 4))
         assert abs(event.total_seconds - scalar.total_seconds) <= CORE_PARITY
 
     @pytest.mark.parametrize("overlap", [False, True])
